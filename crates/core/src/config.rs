@@ -154,13 +154,6 @@ pub struct SessionConfig {
     /// everything inline on the calling thread. Results are bit-identical
     /// for any setting.
     pub threads: usize,
-    /// Horizontal shards of the extraction engine: the sampled view is
-    /// split into this many contiguous row ranges, each with its own
-    /// index and region cache, built and queried in parallel. 0 = one
-    /// shard per worker thread; the `AIDE_SHARDS` environment variable
-    /// overrides this value; 1 keeps the monolithic index. Samples,
-    /// labels and the RNG stream are bit-identical for any setting.
-    pub shards: usize,
     /// Consult the extraction engine's region-result cache (on by
     /// default). The sampled view is immutable, so cached rectangle
     /// results never go stale; a hit still counts as an extraction query
@@ -229,7 +222,6 @@ impl Default for SessionConfig {
             phases: PhaseToggles::default(),
             eval_every: 1,
             threads: 0,
-            shards: 0,
             region_cache: true,
             rng_compat: false,
             tracer: Tracer::disabled(),

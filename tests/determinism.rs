@@ -17,13 +17,10 @@
 //! below asserts the archived pre-switchover fingerprints bit-for-bit
 //! under it.
 //!
-//! Thread independence is covered by CI's threads matrix, which runs
-//! this file under both `AIDE_THREADS=1` and `AIDE_THREADS=4`: the
-//! fingerprints must hold for any thread count. Shard independence is
-//! covered twice: CI's shard matrix re-runs the whole file under
-//! `AIDE_SHARDS=1` and `AIDE_SHARDS=4` (the environment variable beats
-//! `SessionConfig::shards`), and the in-process matrix tests below pin
-//! each strategy's fingerprint at explicit shard × thread combinations.
+//! Thread independence is covered twice: CI's threads matrix runs this
+//! file under both `AIDE_THREADS=1` and `AIDE_THREADS=4`, and the
+//! `*_fingerprint_is_thread_invariant` tests below re-run each pinned
+//! strategy on a 4-thread pool against the same fingerprint.
 
 use std::sync::Arc;
 
@@ -247,42 +244,37 @@ fn pinned() -> Vec<(SessionConfig, Fingerprint)> {
     ]
 }
 
-/// Runs one strategy at explicit (shards, threads) combinations and
-/// asserts the pinned monolithic fingerprint every time. `AIDE_SHARDS` /
-/// `AIDE_THREADS`, when set, beat the config values, so under CI's env
-/// matrix every combination still asserts the same fingerprint — just
-/// at the env-resolved shard and thread counts.
-fn assert_matrix(which: usize, combos: &[(usize, usize)]) {
+/// Runs one pinned strategy on a 4-thread pool and asserts its pinned
+/// fingerprint. `AIDE_THREADS`, when set, beats the config value, so
+/// under CI's env matrix this asserts the same fingerprint at the
+/// env-resolved thread count.
+fn assert_at_four_threads(which: usize) {
     let (config, want) = pinned().swap_remove(which);
-    for &(shards, threads) in combos {
-        let (_, fp) = run_session(SessionConfig {
-            shards,
-            threads,
-            ..config.clone()
-        });
-        assert_fp(&fp, &want);
-    }
+    let (_, fp) = run_session(SessionConfig {
+        threads: 4,
+        ..config
+    });
+    assert_fp(&fp, &want);
 }
 
 #[test]
-fn grid_fingerprint_is_shard_and_thread_invariant() {
-    // (1, 1) is the pinned test above; cover the other three corners.
-    assert_matrix(0, &[(4, 1), (1, 4), (4, 4)]);
+fn grid_fingerprint_is_thread_invariant() {
+    assert_at_four_threads(0);
 }
 
 #[test]
-fn cluster_fingerprint_is_shard_invariant() {
-    assert_matrix(1, &[(4, 1), (4, 4)]);
+fn cluster_fingerprint_is_thread_invariant() {
+    assert_at_four_threads(1);
 }
 
 #[test]
-fn hybrid_fingerprint_is_shard_invariant() {
-    assert_matrix(2, &[(4, 1), (4, 4)]);
+fn hybrid_fingerprint_is_thread_invariant() {
+    assert_at_four_threads(2);
 }
 
 #[test]
-fn adaptive_fingerprint_is_shard_invariant() {
-    assert_matrix(3, &[(4, 1), (4, 4)]);
+fn adaptive_fingerprint_is_thread_invariant() {
+    assert_at_four_threads(3);
 }
 
 #[test]

@@ -10,10 +10,7 @@
 //! If `AIDE_THREADS` is set (CI's threads matrix), it overrides both
 //! configs identically — the equality check stays meaningful, it just
 //! compares two runs at the same count, which also pins run-to-run
-//! reproducibility. The same holds for `AIDE_SHARDS` and the
-//! shard-invariance test: the strip rule drops every `shard*` field
-//! alongside the wall-clock ones, so a stripped stream is identical at
-//! any shard count.
+//! reproducibility.
 
 use std::sync::Arc;
 
@@ -125,32 +122,6 @@ fn adaptive_trace_is_thread_count_invariant() {
     let iters = stream.matches(r#""k":"iter_end""#).count();
     assert_eq!(iters, 12);
     assert_eq!(evals, 5, "4 periodic evals (eval_every=3) + 1 final refresh");
-}
-
-#[test]
-fn stripped_trace_is_shard_count_invariant() {
-    // The unstripped stream differs across shard counts (`session_start`
-    // carries `shards`, sharded waves carry `shard_examined`), but the
-    // strip rule removes every `shard*` field with the wall-clock ones:
-    // stripped streams must be byte-identical at 1 and 4 shards and
-    // carry no shard residue at all.
-    let at = |shards: usize| {
-        traced_stream(SessionConfig {
-            shards,
-            tracer: Tracer::new(),
-            ..SessionConfig::default()
-        })
-    };
-    let one = at(1);
-    let four = at(4);
-    assert_eq!(
-        one, four,
-        "timing-stripped trace differs between 1 and 4 shards"
-    );
-    assert!(
-        !one.contains("shard"),
-        "stripped stream leaks a shard field"
-    );
 }
 
 #[test]
